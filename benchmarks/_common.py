@@ -23,13 +23,16 @@ from repro.workloads import build_cells_database
 #: to show the compiled-plan cache, batched acquisition, the dense-ID
 #: fast path and the semantic-mode vocabulary leave every benchmark's
 #: correctness assertions (lock counts, tables, anomalies) untouched.
+#: The plan cache follows the library default (on) unless
+#: REPRO_BENCH_PLAN_CACHE=0 switches it off; batching needs =1.
 #: The semantic flag only widens the accepted mode set; benchmarks that
 #: demand classic modes must behave identically under it.
 _PLAN_CACHE_ABLATION = os.environ.get("REPRO_BENCH_PLAN_CACHE") == "1"
+_NO_PLAN_CACHE = os.environ.get("REPRO_BENCH_PLAN_CACHE") == "0"
 _DENSE_ABLATION = os.environ.get("REPRO_DENSE") == "1"
 _SEMANTIC_ABLATION = os.environ.get("REPRO_SEMANTIC") == "1"
 ABLATION_FLAGS = dict(
-    use_plan_cache=_PLAN_CACHE_ABLATION or _DENSE_ABLATION,
+    use_plan_cache=_DENSE_ABLATION or not _NO_PLAN_CACHE,
     use_batched_acquire=_PLAN_CACHE_ABLATION or _DENSE_ABLATION,
     use_dense_path=_DENSE_ABLATION,
     use_semantic_modes=_SEMANTIC_ABLATION,

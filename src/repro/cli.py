@@ -48,6 +48,21 @@ def _build(args):
     )
 
 
+def _stack(args, protocol_cls):
+    """A fresh stack over the command's database, with its ablation
+    flags; the plan cache follows the library default unless
+    ``--no-plan-cache`` switches it off."""
+    database, catalog = _build(args)
+    return repro.make_stack(
+        database,
+        catalog,
+        protocol_cls=protocol_cls,
+        use_plan_cache=not args.no_plan_cache,
+        use_batched_acquire=args.batched_acquire,
+        use_dense_path=args.dense_path,
+    )
+
+
 def cmd_graph(args):
     _, catalog = _build(args)
     if args.relation not in catalog.relation_names():
@@ -136,17 +151,11 @@ def cmd_compare(args):
     print(header)
     print("-" * len(header))
     for protocol_cls in PROTOCOLS:
-        database, catalog = _build(args)
-        stack = repro.make_stack(
-            database,
-            catalog,
-            protocol_cls=protocol_cls,
-            use_plan_cache=args.plan_cache,
-            use_batched_acquire=args.batched_acquire,
-            use_dense_path=args.dense_path,
-        )
+        stack = _stack(args, protocol_cls)
         simulator = Simulator(stack.protocol, lock_cost=0.02, scan_item_cost=0.01)
-        submit_workload(simulator, catalog, spec, authorization=stack.authorization)
+        submit_workload(
+            simulator, stack.catalog, spec, authorization=stack.authorization
+        )
         metrics = simulator.run()
         print(
             "%-18s %10.3f %10.2f %8.1f %8d %8d"
@@ -181,18 +190,10 @@ def cmd_sweep(args):
         spec_kwargs[args.axis] = value
         throughputs = {}
         for protocol_cls in (HerrmannProtocol, XSQLProtocol):
-            database, catalog = _build(args)
-            stack = repro.make_stack(
-                database,
-                catalog,
-                protocol_cls=protocol_cls,
-                use_plan_cache=args.plan_cache,
-                use_batched_acquire=args.batched_acquire,
-                use_dense_path=args.dense_path,
-            )
+            stack = _stack(args, protocol_cls)
             simulator = Simulator(stack.protocol, lock_cost=0.02)
             submit_workload(
-                simulator, catalog, WorkloadSpec(**spec_kwargs),
+                simulator, stack.catalog, WorkloadSpec(**spec_kwargs),
                 authorization=stack.authorization,
             )
             throughputs[protocol_cls.name] = simulator.run().throughput
@@ -247,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def ablations(sub):
         sub.add_argument(
-            "--plan-cache", dest="plan_cache", action="store_true",
-            help="enable the compiled lock-plan cache",
+            "--no-plan-cache", dest="no_plan_cache", action="store_true",
+            help="switch off the compiled lock-plan cache (the uncached "
+            "reference path)",
         )
         sub.add_argument(
             "--batched-acquire", dest="batched_acquire", action="store_true",

@@ -76,7 +76,10 @@ def check_plan_consistency(protocol) -> List[tuple]:
             continue  # not the (resource, mode, propagate, principal) shape
         resource, mode, propagate, principal = key
         if fresh is None:
-            kwargs = {"authorization": protocol.authorization}
+            kwargs = {
+                "authorization": protocol.authorization,
+                "use_plan_cache": False,
+            }
             for attr in ("rule4prime", "transitive_propagation"):
                 if hasattr(protocol, attr):
                     kwargs[attr] = getattr(protocol, attr)

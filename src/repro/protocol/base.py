@@ -151,7 +151,7 @@ class ProtocolBase:
         manager: LockManager,
         catalog,
         authorization=None,
-        use_plan_cache: bool = False,
+        use_plan_cache: bool = True,
         use_batched_acquire: bool = False,
         use_dense_path: bool = False,
         use_semantic_modes: bool = False,
@@ -164,8 +164,9 @@ class ProtocolBase:
         #: (SI/AP/INC and their intentions).  Off by default: the classic
         #: protocol must be bit-identical to the pre-extension behaviour.
         self.use_semantic_modes = use_semantic_modes
-        #: ablation flag: memoize compiled demand expansions (stamped by
-        #: the database structure / authorization versions)
+        #: memoize compiled demand expansions (stamped by the database
+        #: structure / authorization versions).  On by default; False is
+        #: the uncached reference the differential certifies it against
         self.use_plan_cache = use_plan_cache
         #: ablation flag: submit whole plans to the lock table in one pass
         self.use_batched_acquire = use_batched_acquire

@@ -55,8 +55,18 @@ the old ``readline()`` path tore the session down with
 
 Concurrency model: the event loop is single-threaded and every lock-table
 mutation is synchronous, so state consistency never depends on the shard
-mutexes — they model per-partition *admission*.  A lock request is cut
-into per-shard runs (root-to-leaf order) and each run holds only its own
+mutexes — they model per-partition *admission*.  Binary frames start
+eagerly: decoded frames join a per-session ready batch, and one
+``call_soon`` callback per batch steps each frame synchronously, in
+arrival order, until it returns or first suspends.  A frame that never
+waits is answered with no task and no lock handoff; only a frame that
+suspends — it parks on a grant, an ``END`` quiesces, it sleeps out the
+modelled shard latency, or it runs in workers mode — continues as a
+task.  A per-session frame-order gate keeps frames beginning in arrival
+order: the owning frame keeps it until it completes or first waits,
+then hands it straight to the next queued frame.  A lock request is
+cut into per-shard runs (root-to-leaf order) by the manager's run cut,
+the one routing pass of the plan, and each run holds only its own
 shard's ``asyncio.Lock`` while the shard table works, plus an optional
 ``shard_service_time`` sleep per submitted request modelling per-shard
 storage latency; requests routed to different shards overlap, requests
@@ -69,7 +79,8 @@ mutex deadlock is impossible by construction.  In workers mode the same
 model holds, except manager operations are blocking pipe RPCs and run in
 the default executor (the ``_call`` seam), never on the loop.
 
-WAITING requests park on an :class:`asyncio.Future`; the manager's
+WAITING requests park on an :class:`asyncio.Future` with a timer for the
+lock timeout (no ``wait_for``, which would need a task); the manager's
 ``on_wake`` callback resolves the future when a release or cancellation
 grants the queued request (marshalled via ``call_soon_threadsafe`` in
 workers mode, where wakes surface on executor threads).  Responses
@@ -90,8 +101,11 @@ registered in :data:`repro.faults.plan.INJECTION_POINTS`.
 from __future__ import annotations
 
 import asyncio
+import collections.abc
+import contextvars
 import functools
 import json
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -156,6 +170,15 @@ def register_database_resources(interner, database) -> List[tuple]:
     ``OP_RESOURCES`` are the very ids the shard router and the worker
     tables route on.
     """
+    resources = database_resources(database)
+    for resource in resources:
+        interner.intern(resource)
+    return resources
+
+
+def database_resources(database) -> List[tuple]:
+    """Every schema-level resource of ``database`` — the database, its
+    segments, relations and objects — in one deterministic order."""
     resources: List[tuple] = [(database.name,)]
     relations = database.relations()
     seen_segments = set()
@@ -170,8 +193,6 @@ def register_database_resources(interner, database) -> List[tuple]:
             resources.append(
                 (database.name, relation.segment, relation.name, str(obj.key))
             )
-    for resource in resources:
-        interner.intern(resource)
     return resources
 
 
@@ -223,12 +244,14 @@ def make_service_stack(
 class _Session:
     """Per-connection state: named transactions plus wire-mode flags.
 
-    Binary frames dispatch as concurrent tasks, so the session also
-    carries the pipelining bookkeeping: the frame-order lock (frames
-    *begin* in arrival order; a frame that parks releases it so later
-    frames can proceed), the set of in-flight dispatch tasks, and a
-    per-transaction in-flight count that lets ``END`` wait for its own
-    transaction's frames without stalling anyone else's.
+    Binary frames are pipelined, so the session also carries their
+    bookkeeping: the decoded frames waiting for the next batch start
+    (``ready``), the frame-order gate (frames *begin* in arrival order;
+    the owning frame keeps the gate until it completes or first waits),
+    the frames queued behind the gate, the frame being stepped right now,
+    the tasks of frames that suspended, and a per-transaction in-flight
+    count that lets ``END`` wait for its own transaction's frames without
+    stalling anyone else's.
     """
 
     __slots__ = (
@@ -236,8 +259,10 @@ class _Session:
         "binary",
         "discarding",
         "skip",
-        "order",
+        "ready",
         "order_owner",
+        "order_waiters",
+        "running",
         "tasks",
         "inflight",
         "idle",
@@ -248,26 +273,41 @@ class _Session:
         self.binary = False  # upgraded via HELLO BINARY
         self.discarding = False  # swallowing the tail of an oversized line
         self.skip = 0  # oversized binary body bytes still to discard
-        self.order = asyncio.Lock()
-        self.order_owner: Optional[asyncio.Task] = None
-        self.tasks: set = set()
+        #: (context, opcode, corr, fields) decoded but not yet started
+        self.ready: list = []
+        self.order_owner = None  # the frame coroutine holding the gate
+        #: (frame, gate future) queued behind the owner, arrival order
+        self.order_waiters: deque = deque()
+        self.running = None  # the frame coroutine being stepped
+        self.tasks: set = set()  # frames that suspended
         self.inflight: Dict[str, int] = {}  # txn name -> frames in flight
         self.idle: Dict[str, asyncio.Event] = {}  # set when count hits 0
 
-    async def acquire_order(self):
-        await self.order.acquire()
-        self.order_owner = asyncio.current_task()
+    def order_free(self) -> bool:
+        """True when a new frame may begin now: no frame owns the gate
+        and none is queued for it."""
+        return self.order_owner is None and not self.order_waiters
 
     def release_order(self):
-        """Release the frame-order lock if this task still holds it.
+        """Pass the frame-order gate on if the frame being stepped owns
+        it.
 
-        Idempotent per task: the first park inside a dispatch releases,
-        the wrapper's ``finally`` then no-ops.  Text dispatches never
-        acquire the lock, so this is a no-op for them too.
+        Idempotent per frame: the first wait inside a dispatch releases,
+        later calls no-op.  Text dispatches step no frame, so this is a
+        no-op for them too.  The gate goes straight to the first queued
+        frame that is still live, never through a free state: a frame
+        decoded in between cannot begin ahead of the queued ones.
         """
-        if self.order_owner is asyncio.current_task():
-            self.order_owner = None
-            self.order.release()
+        frame = self.running
+        if frame is None or self.order_owner is not frame:
+            return
+        self.order_owner = None
+        while self.order_waiters:
+            frame, gate = self.order_waiters.popleft()
+            if not gate.done():  # a cancelled queued frame is skipped
+                self.order_owner = frame
+                gate.set_result(None)
+                return
 
     def begin_frame(self, name: str):
         self.inflight[name] = self.inflight.get(name, 0) + 1
@@ -287,6 +327,67 @@ class _Session:
         while self.inflight.get(name, 0):
             event = self.idle.setdefault(name, asyncio.Event())
             await event.wait()
+
+
+def _expire(future):
+    """A parked request's lock timeout ran out."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+#: what :func:`_step` returns once the frame coroutine has returned
+_DONE = object()
+
+
+def _step(session: _Session, frame, step, *args):
+    """Advance ``frame`` by ``step(*args)`` (its ``send`` or ``throw``)
+    as the session's running frame; what it yielded, or :data:`_DONE`."""
+    session.running = frame
+    try:
+        return step(*args)
+    except StopIteration:
+        return _DONE
+    finally:
+        session.running = None
+
+
+class _Resumed(collections.abc.Coroutine):
+    """A frame that has already run up to its first suspension, as the
+    coroutine of the task that steps it from there on.
+
+    The task's first step gets back what the frame yielded (the future
+    it waits on, or None for a bare yield), exactly as if the task had
+    stepped the frame from its start; every later step — and every
+    exception the task throws in, cancellation included, even before
+    its first step — goes to the frame itself.
+    """
+
+    __slots__ = ("session", "frame", "pending")
+
+    def __init__(self, session: _Session, frame, pending):
+        self.session = session
+        self.frame = frame
+        self.pending = pending
+
+    def _advance(self, step, *args):
+        pending = _step(self.session, self.frame, step, *args)
+        if pending is _DONE:
+            raise StopIteration
+        return pending
+
+    def send(self, value):
+        pending = self.pending
+        if pending is not _DONE:
+            self.pending = _DONE
+            return pending
+        return self._advance(self.frame.send, value)
+
+    def throw(self, exc, *args):
+        self.pending = _DONE
+        return self._advance(self.frame.throw, exc, *args)
+
+    def __await__(self):
+        raise TypeError("a resumed frame is only stepped by its task")
 
 
 class _Conn:
@@ -375,6 +476,13 @@ class LockServer:
         #: rid -> resource tuple: everything reachable over the binary
         #: wire (the schema tree at start, plus OP_INTERN additions)
         self._rid_resources: Dict[int, tuple] = {}
+        #: rid -> its slash-joined path, as responses spell it
+        self._rid_paths: Dict[int, str] = {}
+        #: the database's schema-level resources, which text paths and
+        #: OP_INTERN resolve against (deeper paths ride on an object),
+        #: as of ``database.structure_version`` == ``_known_version``
+        self._known: set = set()
+        self._known_version = -1
         self._wire_ids = ResourceInterner()
         manager.on_wake = self._on_wake
 
@@ -446,10 +554,16 @@ class LockServer:
         registration order at fork, so there the two id spaces happen
         to coincide.
         """
-        for resource in register_database_resources(
-            self._wire_ids, self.stack.database
-        ):
-            self._rid_resources[self._wire_ids.intern(resource)] = resource
+        database = self.stack.database
+        resources = register_database_resources(self._wire_ids, database)
+        for resource in resources:
+            self._note_rid(self._wire_ids.intern(resource), resource)
+        self._known = set(resources)
+        self._known_version = database.structure_version
+
+    def _note_rid(self, rid: int, resource: tuple):
+        self._rid_resources[rid] = resource
+        self._rid_paths[rid] = "/".join(str(p) for p in resource)
 
     # -- executor seam --------------------------------------------------------
 
@@ -504,11 +618,16 @@ class LockServer:
             pass
         finally:
             if abandoned:
-                # the connection is being dropped mid-stream: unwind any
-                # in-flight binary dispatches instead of letting them
-                # finish against a peer that will never read the answers
+                # the connection is being dropped mid-stream: start none
+                # of the decoded frames and unwind the suspended ones
+                # instead of letting them finish against a peer that
+                # will never read the answers
+                session.ready.clear()
                 for task in list(session.tasks):
                     task.cancel()
+            elif session.ready:
+                # the final read's frames: start them before settling
+                self._start_ready(conn, session)
             if session.tasks:
                 # settle (or unwind) the in-flight dispatches before
                 # aborting: aborting a transaction under its own running
@@ -535,9 +654,10 @@ class LockServer:
     async def _drain_frames(self, conn, session, buffer, eof) -> bool:
         """Dispatch every complete frame in ``buffer``; False drops the
         connection.  Text frames dispatch inline, one round-trip at a
-        time — the PR-7 semantics.  Binary frames spawn ordered dispatch
-        tasks (:meth:`_binary_frame`), so a parked frame no longer
-        head-of-line-blocks the frames queued behind it."""
+        time.  Binary frames join the session's ready batch and start
+        in arrival order from a loop callback (:meth:`_start_ready`), so
+        a parked frame does not head-of-line-block the frames behind
+        it."""
         while True:
             if session.binary:
                 progress, alive = self._next_binary(conn, session, buffer)
@@ -646,9 +766,10 @@ class LockServer:
         """Consume at most one binary frame; (progress, alive).
 
         Decode-time outcomes (oversized frame, corrupt header, bad
-        body) are answered inline; a well-formed request spawns an
-        ordered dispatch task instead of being awaited here, so the
-        read loop keeps decoding while earlier frames execute."""
+        body) are answered inline; a well-formed request joins the
+        session's ready batch with a copy of the current context (the
+        frame runs in it, as a task spawned here would), and the first
+        frame of a batch schedules the one callback that starts it."""
         if session.skip:
             drop = min(session.skip, len(buffer))
             del buffer[:drop]
@@ -703,26 +824,71 @@ class LockServer:
             )
             return True, True
         del buffer[:end]
-        task = self._loop.create_task(
-            self._binary_frame(conn, session, opcode, corr, fields)
+        session.ready.append(
+            (contextvars.copy_context(), opcode, corr, fields)
         )
-        session.tasks.add(task)
-        task.add_done_callback(session.tasks.discard)
+        if len(session.ready) == 1:
+            self._loop.call_soon(self._start_ready, conn, session)
         return True, True
 
-    async def _binary_frame(self, conn, session, opcode, corr, fields):
+    def _start_ready(self, conn, session):
+        """Start the session's ready batch of binary frames, in arrival
+        order.
+
+        Runs as a loop callback, never inline in the read loop, so
+        frames woken earlier (granted waiters, the gate's next owner)
+        run before newly arrived ones.  A frame that may begin now owns
+        the frame-order gate and is stepped synchronously until it
+        returns or first suspends; one that returns costs no task at
+        all.  A frame that suspends, or must queue behind the gate,
+        continues as a task.
+        """
+        ready, session.ready = session.ready, []
+        for context, opcode, corr, fields in ready:
+            if session.order_free():
+                frame = self._binary_frame(conn, session, opcode, corr, fields)
+                session.order_owner = frame
+            else:
+                gate = self._loop.create_future()
+                frame = self._binary_frame(
+                    conn, session, opcode, corr, fields, gate
+                )
+                session.order_waiters.append((frame, gate))
+            context.run(self._start_frame, session, frame)
+
+    def _start_frame(self, session, frame):
+        try:
+            pending = _step(session, frame, frame.send, None)
+        except Exception as exc:
+            # _binary_frame already closed the connection; report the
+            # error where a failed dispatch task's error would surface
+            self._loop.call_exception_handler(
+                {"message": "binary frame dispatch failed", "exception": exc}
+            )
+            return
+        if pending is not _DONE:
+            # suspended: a task steps it from here on
+            task = self._loop.create_task(_Resumed(session, frame, pending))
+            session.tasks.add(task)
+            task.add_done_callback(session.tasks.discard)
+
+    async def _binary_frame(
+        self, conn, session, opcode, corr, fields, gate=None
+    ):
         """One pipelined binary dispatch, begun in arrival order.
 
-        The session's order lock is held from frame start until the
-        dispatch completes — or first waits (released in
-        ``_await_grant`` and before the modelled shard-service sleep in
-        ``_run_steps``).  Transaction state therefore mutates in
-        arrival order, but a waiting frame no longer blocks the frames
+        The frame owns the session's frame-order gate from its start
+        until the dispatch completes or first waits (released in
+        ``_end``, ``_await_grant`` and before the modelled shard-service
+        sleep in ``_run_steps``).  Transaction state therefore mutates
+        in arrival order, but a waiting frame does not block the frames
         queued behind it: responses are matched by correlation id, not
-        position.
+        position.  A frame that arrived while the gate was taken waits
+        on ``gate`` first; the gate's previous owner resolves it.
         """
-        await session.acquire_order()
         try:
+            if gate is not None:
+                await gate
             frame = await self._dispatch_binary(
                 conn, session, opcode, corr, fields
             )
@@ -830,19 +996,14 @@ class LockServer:
         if opcode == wire.OP_STATS:
             return wire.frame_for_response(corr, self._stats_frame())
         if opcode == wire.OP_RESOURCES:
-            entries = tuple(
-                sorted(
-                    (rid, "/".join(str(p) for p in resource))
-                    for rid, resource in self._rid_resources.items()
-                )
-            )
+            entries = tuple(sorted(self._rid_paths.items()))
             return wire.encode_response(wire.RESP_RESOURCES, corr, (entries,))
         if opcode == wire.OP_INTERN:
             resource, err = self._parse_resource(fields[0])
             if err is not None:
                 return wire.frame_for_response(corr, err)
             rid = self._wire_ids.intern(resource)
-            self._rid_resources[rid] = resource
+            self._note_rid(rid, resource)
             return wire.encode_response(wire.RESP_INTERNED, corr, (rid,))
         if opcode == wire.OP_UNLOCK:
             rid, name = fields
@@ -856,10 +1017,7 @@ class LockServer:
             return wire.frame_for_response(
                 corr,
                 await self._unlock_resource(
-                    session,
-                    name,
-                    resource,
-                    "/".join(str(p) for p in resource),
+                    session, name, resource, self._rid_paths[rid]
                 ),
             )
         if opcode == wire.OP_MODES:
@@ -888,7 +1046,7 @@ class LockServer:
                     session,
                     name,
                     resource,
-                    "/".join(str(p) for p in resource),
+                    self._rid_paths[rid],
                     MODES_BY_CODE[mode_code],
                     nowait=bool(flags & wire.FLAG_NOWAIT),
                 ),
@@ -914,9 +1072,7 @@ class LockServer:
                     )
                 mode = MODES_BY_CODE[mode_code]
                 steps.append((resource, mode))
-                spec_parts.append(
-                    "%s:%s" % ("/".join(str(p) for p in resource), mode.value)
-                )
+                spec_parts.append("%s:%s" % (self._rid_paths[rid], mode.value))
             return wire.frame_for_response(
                 corr,
                 await self._run_steps(
@@ -1109,83 +1265,80 @@ class LockServer:
         self, conn, session: _Session, txn, name: str, what: str, steps, nowait
     ) -> str:
         submitted = 0
-        run: List[Tuple[tuple, LockMode]] = []
-        run_shard = -1
-        plan = list(steps)
-        plan.append((None, None))  # sentinel flushes the last run
-        for resource, mode in plan:
-            shard = (
-                self.manager.shard_of(resource) if resource is not None else -2
-            )
-            if shard != run_shard and run:
-                fault = False
-                granted: List[LockRequest] = []
-                async with self._shard_locks[run_shard]:
-                    try:
-                        granted = await self._call(
-                            self.manager.acquire_many,
-                            txn,
-                            run,
-                            long=txn.long,
-                            wait=not nowait,
-                        )
-                    except LockConflictError as exc:
-                        return "ERR CONFLICT %s %s" % (
-                            name,
-                            "/".join(str(p) for p in exc.resource),
-                        )
-                    except LockTimeoutError:
-                        # an injected mid-batch timeout: the prefix stays
-                        # granted, the client decides between retry / END
-                        self.stats["timeouts"] += 1
-                        return "ERR TIMEOUT %s %s" % (name, what)
-                    except FaultInjected:
-                        fault = True  # abort outside this shard's mutex
-                    else:
-                        submitted += len(granted)
-                        if self.shard_service_time and granted:
-                            # the modelled shard latency is a wait, not
-                            # event-loop work: release the frame-order
-                            # lock so later pipelined frames overlap it
-                            session.release_order()
-                            await asyncio.sleep(
-                                self.shard_service_time * len(granted)
-                            )
-                if fault:
-                    # an injected fault (error or abort action) during
-                    # the batch: abort the transaction — the universal
-                    # cleaner — and report; the session entry goes too
-                    await self._abort_txn(txn)
-                    session.txns.pop(name, None)
-                    return "ERR FAULT %s %s" % (name, what)
-                if granted and not granted[-1].granted:
-                    outcome = await self._await_grant(
-                        conn, session, name, granted[-1]
+        manager = self.manager
+        # the manager's run cut is the one routing pass of the plan; each
+        # run goes back to the manager with its shard, not routed again
+        for shard, run in manager.runs(steps):
+            fault = False
+            granted: List[LockRequest] = []
+            async with self._shard_locks[shard]:
+                try:
+                    granted = await self._call(
+                        manager.acquire_many,
+                        txn,
+                        run,
+                        long=txn.long,
+                        wait=not nowait,
+                        shard=shard,
                     )
-                    if outcome is not None:
-                        return outcome
-                run = []
-            if resource is None:
-                break
-            run_shard = shard
-            run.append((resource, mode))
+                except LockConflictError as exc:
+                    return "ERR CONFLICT %s %s" % (
+                        name,
+                        "/".join(str(p) for p in exc.resource),
+                    )
+                except LockTimeoutError:
+                    # an injected mid-batch timeout: the prefix stays
+                    # granted, the client decides between retry / END
+                    self.stats["timeouts"] += 1
+                    return "ERR TIMEOUT %s %s" % (name, what)
+                except FaultInjected:
+                    fault = True  # abort outside this shard's mutex
+                else:
+                    submitted += len(granted)
+                    if self.shard_service_time and granted:
+                        # the modelled shard latency is a wait, not
+                        # event-loop work: release the frame-order gate
+                        # so later pipelined frames overlap it
+                        session.release_order()
+                        await asyncio.sleep(
+                            self.shard_service_time * len(granted)
+                        )
+            if fault:
+                # an injected fault (error or abort action) during the
+                # batch: abort the transaction — the universal cleaner —
+                # and report; the session entry goes too
+                await self._abort_txn(txn)
+                session.txns.pop(name, None)
+                return "ERR FAULT %s %s" % (name, what)
+            if granted and not granted[-1].granted:
+                outcome = await self._await_grant(
+                    conn, session, name, granted[-1]
+                )
+                if outcome is not None:
+                    return outcome
         return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
 
     async def _await_grant(
         self, conn, session: _Session, name: str, request
     ) -> Optional[str]:
         """Park on ``request``; None when granted, an ERR frame otherwise."""
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._futures[request] = future
         if self._nudge is not None:
             self._nudge.set()  # a new wait edge: run the detector early
+        timer = None
         try:
             # this frame is parking: later pipelined frames may begin
             session.release_order()
             # a pipelined batch must not sit on completed answers while
             # this frame waits: flush what is already queued, then park
             await self._flush(conn)
-            await asyncio.wait_for(future, self.lock_timeout)
+            # a timer, not wait_for: a frame stepped outside any task
+            # may park here
+            timer = self._loop.call_later(
+                self.lock_timeout, _expire, future
+            )
+            await future
             return None
         except DeadlockError:
             # the detector chose this transaction as victim and already
@@ -1205,6 +1358,8 @@ class LockServer:
                 "/".join(str(p) for p in request.resource),
             )
         finally:
+            if timer is not None:
+                timer.cancel()
             self._futures.pop(request, None)
 
     # -- cross-shard deadlock detection ---------------------------------------
@@ -1291,31 +1446,23 @@ class LockServer:
     # -- resources and stats --------------------------------------------------
 
     def _parse_resource(self, path: str):
+        """``path`` as a resource tuple, or an ``ERR UNKNOWN-RESOURCE``
+        frame.
+
+        The first four components (database, segment, relation, object
+        key) must name a schema-level resource of the database; deeper
+        component parts ride on a valid object prefix.  The lookup is one
+        set probe against the resources registered at start, rebuilt
+        only when the database's structure version has moved.
+        """
         parts = tuple(path.split("/"))
-        if not parts or any(not p for p in parts):
+        if not all(parts):
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         database = self.stack.database
-        if parts[0] != database.name:
-            return None, "ERR UNKNOWN-RESOURCE %s" % path
-        if len(parts) == 1:
-            return parts, None
-        relations = database.relations()
-        if parts[1] not in {rel.segment for rel in relations}:
-            return None, "ERR UNKNOWN-RESOURCE %s" % path
-        if len(parts) == 2:
-            return parts, None
-        matching = [
-            rel
-            for rel in relations
-            if rel.name == parts[2] and rel.segment == parts[1]
-        ]
-        if not matching:
-            return None, "ERR UNKNOWN-RESOURCE %s" % path
-        if len(parts) == 3:
-            return parts, None
-        # object level: the key as it appears in resource tuples (str);
-        # deeper component parts ride on a valid object prefix
-        if parts[3] not in {str(obj.key) for obj in matching[0]}:
+        if self._known_version != database.structure_version:
+            self._known = set(database_resources(database))
+            self._known_version = database.structure_version
+        if parts[:4] not in self._known:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         return parts, None
 

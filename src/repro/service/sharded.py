@@ -49,6 +49,29 @@ def shard_of(router: ResourceInterner, resource, n_shards: int) -> int:
     return router.intern(resource) % n_shards
 
 
+def cut_runs(
+    router: ResourceInterner, n_shards: int, steps
+) -> List[Tuple[int, List[Tuple[object, LockMode]]]]:
+    """Cut an ordered plan into maximal runs of consecutive same-shard
+    steps: ``[(shard, [(resource, mode), ...]), ...]`` in plan order.
+
+    This is the routing pass of a plan — each step is routed exactly
+    once, here.
+    """
+    intern = router.intern
+    runs: List[Tuple[int, List[Tuple[object, LockMode]]]] = []
+    run: List[Tuple[object, LockMode]] = []
+    run_shard = -1
+    for resource, mode in steps:
+        shard = intern(resource) % n_shards
+        if shard != run_shard:
+            run = []
+            runs.append((shard, run))
+            run_shard = shard
+        run.append((resource, mode))
+    return runs
+
+
 class _AggregateTable:
     """Read-mostly union view over a manager's shard tables.
 
@@ -311,6 +334,10 @@ class ShardedLockManager:
     def shard_of(self, resource) -> int:
         return shard_of(self.router, resource, self.n_shards)
 
+    def runs(self, steps) -> List[Tuple[int, List[Tuple[object, LockMode]]]]:
+        """The per-shard run cut of an ordered plan (:func:`cut_runs`)."""
+        return cut_runs(self.router, self.n_shards, steps)
+
     def shard_table(self, resource) -> LockTable:
         return self.shards[self.shard_of(resource)]
 
@@ -360,41 +387,34 @@ class ShardedLockManager:
         return request
 
     def acquire_many(
-        self, txn, steps, long: bool = False, wait: bool = True
+        self,
+        txn,
+        steps,
+        long: bool = False,
+        wait: bool = True,
+        shard: Optional[int] = None,
     ) -> List[LockRequest]:
         """Batched plan acquisition, split into per-shard runs.
 
         The ordered plan is cut into maximal runs of consecutive
-        same-shard steps; each run goes through its shard's
-        ``request_many`` (covered-pair pruning against that shard's
-        held-mode summary, at most the run's last request WAITING).
-        Semantics per step are identical to the single table's batched
-        pass — pruning is per (txn, resource) and therefore shard-local.
+        same-shard steps (:meth:`runs`); each run goes through its
+        shard's ``request_many`` (covered-pair pruning against that
+        shard's held-mode summary, at most the run's last request
+        WAITING).  Semantics per step are identical to the single
+        table's batched pass — pruning is per (txn, resource) and
+        therefore shard-local.  A caller that already cut the plan
+        passes one run with its ``shard``; it is not routed again.
         """
         out: List[LockRequest] = []
-        run: List[Tuple[object, LockMode]] = []
-        run_shard = -1
-        blocked = False
+        runs = self.runs(steps) if shard is None else ((shard, steps),)
         try:
-            for resource, mode in steps:
-                shard = self.shard_of(resource)
-                if shard != run_shard and run:
-                    granted = self.shards[run_shard].request_many(
-                        txn, run, long=long, wait=wait
-                    )
-                    out.extend(granted)
-                    run = []
-                    if granted and not granted[-1].granted:
-                        blocked = True
-                        break
-                run_shard = shard
-                run.append((resource, mode))
-            if run and not blocked:
-                out.extend(
-                    self.shards[run_shard].request_many(
-                        txn, run, long=long, wait=wait
-                    )
+            for run_shard, run in runs:
+                granted = self.shards[run_shard].request_many(
+                    txn, run, long=long, wait=wait
                 )
+                out.extend(granted)
+                if granted and not granted[-1].granted:
+                    break
         finally:
             # wait=False conflicts raise mid-plan with the prefix granted
             # (the caller's abort path releases it) — the grant-order
@@ -440,9 +460,10 @@ class ShardedLockManager:
                     touched.add(request.resource)
                     resources.append(request.resource)
         woken: List[LockRequest] = []
+        shards, intern, n_shards = self.shards, self.router.intern, self.n_shards
         for resource in resources:
             woken.extend(
-                self.shard_table(resource)._release_resource(
+                shards[intern(resource) % n_shards]._release_resource(
                     txn, resource, keep_long
                 )
             )
@@ -477,7 +498,10 @@ class ShardedLockManager:
         return self.table.held_mode(txn, resource)
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
-        return self.table.holds_at_least(txn, resource, mode)
+        # the plan filter's per-step probe: straight to the owning shard
+        return self.shards[
+            self.router.intern(resource) % self.n_shards
+        ].holds_at_least(txn, resource, mode)
 
     def locks_of(self, txn) -> Dict[object, LockMode]:
         return {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _stack, build_parser, main
+from repro.protocol import HerrmannProtocol
 
 
 class TestGraph:
@@ -65,6 +66,26 @@ class TestCompare:
             ):
                 rows[parts[0]] = float(parts[1])
         assert rows["herrmann"] >= max(rows.values()) - 1e-9
+
+
+class TestPlanCacheFlag:
+    """The simulation commands follow the library's plan-cache default."""
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_default_stack_has_the_cache_on(self, command):
+        args = build_parser().parse_args([command])
+        stack = _stack(args, HerrmannProtocol)
+        assert stack.protocol.use_plan_cache is True
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_no_plan_cache_switches_it_off(self, command):
+        args = build_parser().parse_args([command, "--no-plan-cache"])
+        stack = _stack(args, HerrmannProtocol)
+        assert stack.protocol.use_plan_cache is False
+
+    def test_compare_runs_uncached(self, capsys):
+        assert main(["compare", "--transactions", "10", "--no-plan-cache"]) == 0
+        assert "herrmann" in capsys.readouterr().out
 
 
 class TestSweep:

@@ -20,7 +20,9 @@ from repro.workloads import build_cells_database
 
 
 def cached_and_plain_stacks(**kwargs):
-    plain = repro.make_stack(*build_cells_database(figure7=True), **kwargs)
+    plain = repro.make_stack(
+        *build_cells_database(figure7=True), use_plan_cache=False, **kwargs
+    )
     cached = repro.make_stack(
         *build_cells_database(figure7=True), use_plan_cache=True, **kwargs
     )
@@ -173,7 +175,9 @@ class TestInvalidation:
         cached.checkout.simulate_crash_and_restart()
         # the Database instance survives a server restart: the stamp stays
         # monotonic and cached plans are still structurally correct
-        reference = repro.make_stack(*build_cells_database(figure7=True))
+        reference = repro.make_stack(
+            *build_cells_database(figure7=True), use_plan_cache=False
+        )
         t_ref = reference.txns.begin()
         t_c = cached.txns.begin(principal="ws1")
         assert plan_shape(
@@ -310,7 +314,9 @@ class TestBatchedExecutionEquivalence:
 
     def test_request_grants_match(self):
         database, catalog = build_cells_database(figure7=True)
-        seq = repro.make_stack(*build_cells_database(figure7=True))
+        seq = repro.make_stack(
+            *build_cells_database(figure7=True), use_plan_cache=False
+        )
         bat = repro.make_stack(
             database, catalog, use_batched_acquire=True, use_plan_cache=True
         )

@@ -215,3 +215,78 @@ class TestCompatibilityMatrixOverTheWire:
                 await server.stop()
 
         asyncio.run(go())
+
+
+class TestResourceResolution:
+    """Paths resolve against the resources registered at start, so an
+    object-level lookup never scans its relation, and a structural change
+    to the database is picked up on the next lookup."""
+
+    def _serve(self, go):
+        async def main():
+            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            host, port = await server.start()
+            client = await ServiceClient(host, port).connect()
+            try:
+                await go(server, client)
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(main())
+
+    def test_object_lookup_does_not_scan_the_relation(self, monkeypatch):
+        from repro.nf2.database import Relation
+
+        def no_scan(relation):
+            raise AssertionError("relation %s scanned" % relation.name)
+
+        async def go(server, client):
+            monkeypatch.setattr(Relation, "__iter__", no_scan)
+            for frame, expected in [
+                ("START t1", "OK STARTED t1"),
+                ("ISLOCK t1 db1/seg_parts/parts/p1",
+                 "OK GRANTED t1 db1/seg_parts/parts/p1 steps=4"),
+                # a deeper path rides on its valid object prefix
+                ("ISLOCK t1 db1/seg_parts/parts/p1/name",
+                 "OK GRANTED t1 db1/seg_parts/parts/p1/name steps=1"),
+                ("ISLOCK t1 db1/seg_parts/parts/p9",
+                 "ERR UNKNOWN-RESOURCE db1/seg_parts/parts/p9"),
+                ("ISLOCK t1 db1/seg_parts/parts/p9/name",
+                 "ERR UNKNOWN-RESOURCE db1/seg_parts/parts/p9/name"),
+                ("ISLOCK t1 db1/seg_parts//p1",
+                 "ERR UNKNOWN-RESOURCE db1/seg_parts//p1"),
+                ("END t1", "OK ENDED t1"),
+            ]:
+                assert await client.request(frame) == expected, frame
+
+        self._serve(go)
+
+    def test_inserted_and_deleted_objects_are_seen(self):
+        from repro.nf2 import make_tuple
+
+        async def go(server, client):
+            database = server.stack.database
+            path = "db1/seg_materials/materials/m3"
+            assert await client.request("START t1") == "OK STARTED t1"
+            assert (
+                await client.request("ISLOCK t1 %s" % path)
+                == "ERR UNKNOWN-RESOURCE %s" % path
+            )
+            database.insert(
+                "materials", make_tuple(mat_id="m3", name="brass", density=8.5)
+            )
+            assert (
+                await client.request("ISLOCK t1 %s" % path)
+                == "OK GRANTED t1 %s steps=4" % path
+            )
+            assert await client.request("END t1") == "OK ENDED t1"
+            database.relation("materials").delete("m3")
+            assert await client.request("START t2") == "OK STARTED t2"
+            assert (
+                await client.request("ISLOCK t2 %s" % path)
+                == "ERR UNKNOWN-RESOURCE %s" % path
+            )
+            assert await client.request("END t2") == "OK ENDED t2"
+
+        self._serve(go)
