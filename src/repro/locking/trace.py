@@ -99,14 +99,13 @@ class LockTrace:
             )
             return request
 
-        def acquire_many(txn, steps, long=False, wait=True, shard=None):
+        def acquire_many(txn, steps, long=False, wait=True):
             # Replay the plan through the traced per-step path with the
             # same covered-pair pruning the batched table pass applies:
             # the narrative is event-for-event identical to sequential
             # acquisition, which is exactly what the differential harness
             # asserts.  Traced runs are correctness runs; they don't need
-            # the batched fast path.  A run the caller already routed
-            # (``shard``) replays the same way.
+            # the batched fast path.
             table = manager.table
             out = []
             for resource, mode in steps:

@@ -16,7 +16,7 @@ the instance operations the protocols and workloads need:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import IntegrityError, SchemaError
 from repro.nf2.paths import resolve_type, resolve_value
@@ -32,6 +32,22 @@ from repro.nf2.values import (
 )
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(text)
+    return text == "True"
+
+
+#: how a key spelt as text (``str(key)``) may be read back, per atomic
+#: domain of the key attribute; float keys may hold ints
+_KEY_PARSERS = {
+    "str": (),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (_parse_bool,),
+}
+
+
 class Relation:
     """A stored relation: complex objects indexed by surrogate and by key."""
 
@@ -42,6 +58,10 @@ class Relation:
         self._by_key: Dict[object, ComplexObject] = {}
         #: secondary indexes by attribute name (see Database.create_index)
         self.indexes: Dict[str, "Index"] = {}
+        #: text -> key candidates for the key attribute's atomic domain
+        self._key_parsers = _KEY_PARSERS[
+            dict(schema.object_type.attributes)[schema.key].domain
+        ]
 
     @property
     def name(self) -> str:
@@ -96,6 +116,20 @@ class Relation:
 
     def contains_key(self, key) -> bool:
         return key in self._by_key
+
+    def has_key_text(self, text: str) -> bool:
+        """Whether some object's key reads ``text`` as resource tuples
+        spell keys (``str(key)``): a probe of the key index, not a scan."""
+        obj = self._by_key.get(text)
+        if obj is None:
+            for parse in self._key_parsers:
+                try:
+                    obj = self._by_key.get(parse(text))
+                except ValueError:
+                    continue
+                if obj is not None:
+                    break
+        return obj is not None and str(obj.key) == text
 
     def contains_surrogate(self, surrogate: str) -> bool:
         return surrogate in self._by_surrogate
@@ -299,6 +333,10 @@ class Database:
             return self._relations[name]
         except KeyError:
             raise SchemaError("no relation named %r" % name)
+
+    def find_relation(self, name: str) -> Optional[Relation]:
+        """The relation named ``name``, or None."""
+        return self._relations.get(name)
 
     def relations(self) -> List[Relation]:
         return list(self._relations.values())

@@ -62,15 +62,15 @@ arrival order, until it returns or first suspends.  A frame that never
 waits is answered with no task and no lock handoff; only a frame that
 suspends — it parks on a grant, an ``END`` quiesces, it sleeps out the
 modelled shard latency, or it runs in workers mode — continues as a
-task.  A per-session frame-order gate keeps frames beginning in arrival
+task, still in the context copied when the frame was decoded.  A
+per-session frame-order gate keeps frames beginning in arrival
 order: the owning frame keeps it until it completes or first waits,
 then hands it straight to the next queued frame.  A lock request is
-cut into per-shard runs (root-to-leaf order) by the manager's run cut,
-the one routing pass of the plan, and each run holds only its own
-shard's ``asyncio.Lock`` while the shard table works, plus an optional
-``shard_service_time`` sleep per submitted request modelling per-shard
-storage latency; requests routed to different shards overlap, requests
-to the same shard serialize.  EOT release is synchronous and charged to
+cut into per-shard runs (root-to-leaf order), and each run holds only
+its own shard's ``asyncio.Lock`` while the shard table works, plus an
+optional ``shard_service_time`` sleep per submitted request modelling
+per-shard storage latency; requests routed to different shards
+overlap, requests to the same shard serialize.  EOT release is synchronous and charged to
 no shard, keeping commit off the admission path.  A task never holds one
 shard mutex while waiting for another (runs are sequential), and the one
 multi-shard operation — the deadlock detector's stop-the-world snapshot
@@ -138,7 +138,7 @@ from repro.locking.modes import (
     LockMode,
 )
 from repro.service import wire
-from repro.service.sharded import ShardedLockManager
+from repro.service.sharded import ShardedLockManager, cut_runs
 from repro.txn.transaction import TxnState
 
 #: Verbs that take <txn> <path> and run a lock plan.  The semantic verbs
@@ -170,15 +170,6 @@ def register_database_resources(interner, database) -> List[tuple]:
     ``OP_RESOURCES`` are the very ids the shard router and the worker
     tables route on.
     """
-    resources = database_resources(database)
-    for resource in resources:
-        interner.intern(resource)
-    return resources
-
-
-def database_resources(database) -> List[tuple]:
-    """Every schema-level resource of ``database`` — the database, its
-    segments, relations and objects — in one deterministic order."""
     resources: List[tuple] = [(database.name,)]
     relations = database.relations()
     seen_segments = set()
@@ -193,6 +184,8 @@ def database_resources(database) -> List[tuple]:
             resources.append(
                 (database.name, relation.segment, relation.name, str(obj.key))
             )
+    for resource in resources:
+        interner.intern(resource)
     return resources
 
 
@@ -359,18 +352,22 @@ class _Resumed(collections.abc.Coroutine):
     it waits on, or None for a bare yield), exactly as if the task had
     stepped the frame from its start; every later step — and every
     exception the task throws in, cancellation included, even before
-    its first step — goes to the frame itself.
+    its first step — goes to the frame itself.  Each step runs in
+    ``context``, the one the frame's eager steps ran in, not in the copy
+    the task makes: a context variable set before the frame suspended
+    can then be reset after it resumes.
     """
 
-    __slots__ = ("session", "frame", "pending")
+    __slots__ = ("session", "frame", "pending", "context")
 
-    def __init__(self, session: _Session, frame, pending):
+    def __init__(self, session: _Session, frame, pending, context):
         self.session = session
         self.frame = frame
         self.pending = pending
+        self.context = context
 
     def _advance(self, step, *args):
-        pending = _step(self.session, self.frame, step, *args)
+        pending = self.context.run(_step, self.session, self.frame, step, *args)
         if pending is _DONE:
             raise StopIteration
         return pending
@@ -478,11 +475,6 @@ class LockServer:
         self._rid_resources: Dict[int, tuple] = {}
         #: rid -> its slash-joined path, as responses spell it
         self._rid_paths: Dict[int, str] = {}
-        #: the database's schema-level resources, which text paths and
-        #: OP_INTERN resolve against (deeper paths ride on an object),
-        #: as of ``database.structure_version`` == ``_known_version``
-        self._known: set = set()
-        self._known_version = -1
         self._wire_ids = ResourceInterner()
         manager.on_wake = self._on_wake
 
@@ -554,12 +546,10 @@ class LockServer:
         registration order at fork, so there the two id spaces happen
         to coincide.
         """
-        database = self.stack.database
-        resources = register_database_resources(self._wire_ids, database)
-        for resource in resources:
+        for resource in register_database_resources(
+            self._wire_ids, self.stack.database
+        ):
             self._note_rid(self._wire_ids.intern(resource), resource)
-        self._known = set(resources)
-        self._known_version = database.structure_version
 
     def _note_rid(self, rid: int, resource: tuple):
         self._rid_resources[rid] = resource
@@ -767,9 +757,11 @@ class LockServer:
 
         Decode-time outcomes (oversized frame, corrupt header, bad
         body) are answered inline; a well-formed request joins the
-        session's ready batch with a copy of the current context (the
-        frame runs in it, as a task spawned here would), and the first
-        frame of a batch schedules the one callback that starts it."""
+        session's ready batch with a copy of the current context, and
+        the first frame of a batch schedules the one callback that
+        starts it.  Every step of the frame, before and after any
+        suspension, runs in that one copy, as every step of a task
+        spawned here would run in the task's."""
         if session.skip:
             drop = min(session.skip, len(buffer))
             del buffer[:drop]
@@ -854,9 +846,9 @@ class LockServer:
                     conn, session, opcode, corr, fields, gate
                 )
                 session.order_waiters.append((frame, gate))
-            context.run(self._start_frame, session, frame)
+            context.run(self._start_frame, session, frame, context)
 
-    def _start_frame(self, session, frame):
+    def _start_frame(self, session, frame, context):
         try:
             pending = _step(session, frame, frame.send, None)
         except Exception as exc:
@@ -868,7 +860,9 @@ class LockServer:
             return
         if pending is not _DONE:
             # suspended: a task steps it from here on
-            task = self._loop.create_task(_Resumed(session, frame, pending))
+            task = self._loop.create_task(
+                _Resumed(session, frame, pending, context)
+            )
             session.tasks.add(task)
             task.add_done_callback(session.tasks.discard)
 
@@ -1266,9 +1260,7 @@ class LockServer:
     ) -> str:
         submitted = 0
         manager = self.manager
-        # the manager's run cut is the one routing pass of the plan; each
-        # run goes back to the manager with its shard, not routed again
-        for shard, run in manager.runs(steps):
+        for shard, run in cut_runs(manager.router, manager.n_shards, steps):
             fault = False
             granted: List[LockRequest] = []
             async with self._shard_locks[shard]:
@@ -1279,7 +1271,6 @@ class LockServer:
                         run,
                         long=txn.long,
                         wait=not nowait,
-                        shard=shard,
                     )
                 except LockConflictError as exc:
                     return "ERR CONFLICT %s %s" % (
@@ -1451,19 +1442,24 @@ class LockServer:
 
         The first four components (database, segment, relation, object
         key) must name a schema-level resource of the database; deeper
-        component parts ride on a valid object prefix.  The lookup is one
-        set probe against the resources registered at start, rebuilt
-        only when the database's structure version has moved.
+        component parts ride on a valid object prefix.  The object key is
+        one probe of its relation's key index, never a scan.
         """
         parts = tuple(path.split("/"))
         if not all(parts):
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         database = self.stack.database
-        if self._known_version != database.structure_version:
-            self._known = set(database_resources(database))
-            self._known_version = database.structure_version
-        if parts[:4] not in self._known:
+        if parts[0] != database.name:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
+        if len(parts) == 2:
+            if parts[1] not in database.segments():
+                return None, "ERR UNKNOWN-RESOURCE %s" % path
+        elif len(parts) > 2:
+            relation = database.find_relation(parts[2])
+            if relation is None or relation.segment != parts[1]:
+                return None, "ERR UNKNOWN-RESOURCE %s" % path
+            if len(parts) > 3 and not relation.has_key_text(parts[3]):
+                return None, "ERR UNKNOWN-RESOURCE %s" % path
         return parts, None
 
     def _stats_frame(self) -> str:

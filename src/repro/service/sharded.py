@@ -55,8 +55,9 @@ def cut_runs(
     """Cut an ordered plan into maximal runs of consecutive same-shard
     steps: ``[(shard, [(resource, mode), ...]), ...]`` in plan order.
 
-    This is the routing pass of a plan — each step is routed exactly
-    once, here.
+    The server cuts a plan this way to take one shard mutex per run;
+    :meth:`ShardedLockManager.acquire_many` cuts what it is given the
+    same way.
     """
     intern = router.intern
     runs: List[Tuple[int, List[Tuple[object, LockMode]]]] = []
@@ -334,10 +335,6 @@ class ShardedLockManager:
     def shard_of(self, resource) -> int:
         return shard_of(self.router, resource, self.n_shards)
 
-    def runs(self, steps) -> List[Tuple[int, List[Tuple[object, LockMode]]]]:
-        """The per-shard run cut of an ordered plan (:func:`cut_runs`)."""
-        return cut_runs(self.router, self.n_shards, steps)
-
     def shard_table(self, resource) -> LockTable:
         return self.shards[self.shard_of(resource)]
 
@@ -387,28 +384,21 @@ class ShardedLockManager:
         return request
 
     def acquire_many(
-        self,
-        txn,
-        steps,
-        long: bool = False,
-        wait: bool = True,
-        shard: Optional[int] = None,
+        self, txn, steps, long: bool = False, wait: bool = True
     ) -> List[LockRequest]:
         """Batched plan acquisition, split into per-shard runs.
 
         The ordered plan is cut into maximal runs of consecutive
-        same-shard steps (:meth:`runs`); each run goes through its
+        same-shard steps (:func:`cut_runs`); each run goes through its
         shard's ``request_many`` (covered-pair pruning against that
         shard's held-mode summary, at most the run's last request
         WAITING).  Semantics per step are identical to the single
         table's batched pass — pruning is per (txn, resource) and
-        therefore shard-local.  A caller that already cut the plan
-        passes one run with its ``shard``; it is not routed again.
+        therefore shard-local.
         """
         out: List[LockRequest] = []
-        runs = self.runs(steps) if shard is None else ((shard, steps),)
         try:
-            for run_shard, run in runs:
+            for run_shard, run in cut_runs(self.router, self.n_shards, steps):
                 granted = self.shards[run_shard].request_many(
                     txn, run, long=long, wait=wait
                 )
@@ -460,10 +450,9 @@ class ShardedLockManager:
                     touched.add(request.resource)
                     resources.append(request.resource)
         woken: List[LockRequest] = []
-        shards, intern, n_shards = self.shards, self.router.intern, self.n_shards
         for resource in resources:
             woken.extend(
-                shards[intern(resource) % n_shards]._release_resource(
+                self.shard_table(resource)._release_resource(
                     txn, resource, keep_long
                 )
             )
@@ -498,10 +487,7 @@ class ShardedLockManager:
         return self.table.held_mode(txn, resource)
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
-        # the plan filter's per-step probe: straight to the owning shard
-        return self.shards[
-            self.router.intern(resource) % self.n_shards
-        ].holds_at_least(txn, resource, mode)
+        return self.table.holds_at_least(txn, resource, mode)
 
     def locks_of(self, txn) -> Dict[object, LockMode]:
         return {

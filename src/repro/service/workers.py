@@ -51,7 +51,6 @@ from repro.locking.deadlock import DeadlockDetector
 from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.modes import MODES_BY_CODE, LockMode, covers
 from repro.nf2.surrogate import ResourceInterner
-from repro.service.sharded import cut_runs
 
 
 class WorkerError(RuntimeError):
@@ -502,11 +501,6 @@ class WorkerProxyManager:
     def shard_of(self, resource) -> int:
         return self.router.intern(resource) % self.n_shards
 
-    def runs(self, steps) -> List[Tuple[int, List[Tuple[object, LockMode]]]]:
-        """The per-shard run cut of an ordered plan, as the in-process
-        manager cuts it."""
-        return cut_runs(self.router, self.n_shards, steps)
-
     def _worker_of_rid(self, rid: int) -> int:
         return (rid % self.n_shards) % self.n_workers
 
@@ -643,11 +637,7 @@ class WorkerProxyManager:
             return results[0]
 
     def acquire_many(self, txn, steps, long: bool = False,
-                     wait: bool = True,
-                     shard: Optional[int] = None) -> List[ProxyLockRequest]:
-        # ``shard`` marks a run the caller already cut: it lies in one
-        # shard and therefore in one worker, so the cut below yields
-        # one RPC for it either way
+                     wait: bool = True) -> List[ProxyLockRequest]:
         with self._mutex:
             self._register(txn)
             out: List[ProxyLockRequest] = []

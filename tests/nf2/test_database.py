@@ -109,6 +109,55 @@ class TestInsertAndLookup:
         assert db.object_count() == 2
 
 
+class TestKeyText:
+    """``has_key_text`` answers whether a key spelt as resource tuples
+    spell it (``str(key)``) belongs to a stored object."""
+
+    def _relation(self, domain, keys):
+        database = Database()
+        relation = database.create_relation(
+            RelationSchema(
+                "things", TupleType([("t_id", AtomicType(domain))])
+            )
+        )
+        for key in keys:
+            relation.insert(make_tuple(t_id=key))
+        return relation
+
+    def test_str_keys(self):
+        relation = self._relation("str", ["a", "7"])
+        assert relation.has_key_text("a") and relation.has_key_text("7")
+        assert not relation.has_key_text("b")
+
+    def test_int_keys_match_their_exact_spelling(self):
+        relation = self._relation("int", [7, -3])
+        assert relation.has_key_text("7") and relation.has_key_text("-3")
+        for text in ("07", " 7", "7.0", "x", "8", "+7"):
+            assert not relation.has_key_text(text), text
+
+    def test_float_keys_may_hold_ints(self):
+        relation = self._relation("float", [1.5, 2])
+        assert relation.has_key_text("1.5") and relation.has_key_text("2")
+        for text in ("1.50", "2.0", "nan"):
+            assert not relation.has_key_text(text), text
+
+    def test_bool_keys(self):
+        relation = self._relation("bool", [True])
+        assert relation.has_key_text("True")
+        assert not relation.has_key_text("False")
+        assert not relation.has_key_text("1")
+
+    def test_follows_inserts_deletes_and_key_changes(self):
+        relation = self._relation("int", [1])
+        relation.insert(make_tuple(t_id=2))
+        assert relation.has_key_text("2")
+        relation.delete(2)
+        assert not relation.has_key_text("2")
+        obj = relation.get(1)
+        relation.replace(type(obj)(obj.relation, obj.surrogate, 5, make_tuple(t_id=5)))
+        assert relation.has_key_text("5") and not relation.has_key_text("1")
+
+
 class TestDelete:
     def test_delete_unreferenced(self, db):
         db.insert("effectors", make_tuple(eff_id="e1", tool="t"))

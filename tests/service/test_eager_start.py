@@ -4,13 +4,15 @@ Decoded binary frames join a per-session ready batch that one loop
 callback starts in arrival order.  Each frame is stepped synchronously
 until it returns or first suspends; only a frame that suspends (or must
 queue behind the frame-order gate) continues as a task.  These tests pin
-the three properties that makes load-bearing: a batch of immediately
-granted frames creates no dispatch task at all, arrival order survives
-the moment the gate passes from a finished frame to a queued one, and an
-unexpected dispatch error still drops the connection and is reported.
+the properties that makes load-bearing: a batch of immediately granted
+frames creates no dispatch task at all, arrival order survives the
+moment the gate passes from a finished frame to a queued one, a frame
+keeps one context across a suspension, and an unexpected dispatch error
+still drops the connection and is reported.
 """
 
 import asyncio
+import contextvars
 
 from repro.locking.modes import S
 from repro.service import wire
@@ -200,6 +202,68 @@ class TestArrivalOrderAcrossTheGateHandoff:
             finally:
                 for txn in session.txns.values():
                     await server._abort_txn(txn)
+                await server.stop()
+
+        asyncio.run(go())
+
+
+class TestContextAcrossSuspension:
+    def test_context_variable_set_before_a_park_resets_after_the_grant(self):
+        """A wrapper around ``_dispatch_binary`` sets a context variable
+        before the frame parks on a grant and resets it once the grant
+        arrives.  The reset needs the frame's later steps to run in the
+        very context its first steps ran in, not in a task's copy."""
+        var = contextvars.ContextVar("frame_var", default=None)
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            server = serve(lock_timeout=5.0)
+            dispatch = server._dispatch_binary
+            started, seen = [], []
+
+            async def wrapped(conn, session, opcode, corr, fields):
+                started.append(corr)
+                token = var.set(corr)
+                try:
+                    return await dispatch(conn, session, opcode, corr, fields)
+                finally:
+                    seen.append((corr, var.get()))
+                    var.reset(token)
+
+            server._dispatch_binary = wrapped
+            host, port = await server.start()
+            holder = await ServiceClient(host, port).connect()
+            piped = await ServiceClient(
+                host, port, binary=True, pipeline_depth=8
+            ).connect()
+            try:
+                await holder.start("h")
+                await holder.lock("XLOCK", "h", P1)
+                await piped.start("t")
+                parked = await piped.submit_lock("SLOCK", "t", P1)
+                other = await piped.submit_lock("SLOCK", "t", M2)
+                await piped.flush()
+                assert (await asyncio.wait_for(other, 2.0)).startswith(
+                    "OK GRANTED t "
+                )
+                await asyncio.sleep(0.05)
+                assert not parked.done()
+                # the parked frame has set the variable but not reset it
+                (parked_corr,) = set(started) - {corr for corr, _ in seen}
+                await holder.end("h")
+                assert (await asyncio.wait_for(parked, 2.0)).startswith(
+                    "OK GRANTED t "
+                )
+                assert await piped.end("t") == "OK ENDED t"
+                assert reported == []
+                assert all(corr == value for corr, value in seen), seen
+                assert sorted(corr for corr, _ in seen) == sorted(started)
+                assert parked_corr in dict(seen)
+            finally:
+                await piped.close()
+                await holder.close()
                 await server.stop()
 
         asyncio.run(go())

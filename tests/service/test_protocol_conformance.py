@@ -218,9 +218,9 @@ class TestCompatibilityMatrixOverTheWire:
 
 
 class TestResourceResolution:
-    """Paths resolve against the resources registered at start, so an
-    object-level lookup never scans its relation, and a structural change
-    to the database is picked up on the next lookup."""
+    """An object-level path resolves by one probe of its relation's key
+    index, so it never scans the relation, and an inserted or deleted
+    object is seen on the next lookup."""
 
     def _serve(self, go):
         async def main():
